@@ -1,14 +1,15 @@
 # Verification entry points. `make verify` is the PR gate: the tier-1
 # suite (build, vet, test) plus a race-detector pass with GOMAXPROCS
-# forced to 4, so the persistent parallel round engine, the incremental
-# checkpoint store, the elastic core-budget scheduler, AND the streaming
+# forced to 4, so the incremental checkpoint store AND the streaming
 # parallel grid engine (package mpic: Runner.RunGrid / Sweep workers
 # sharing one arena) get real concurrency coverage even on single-CPU
 # boxes (where the worker pools would otherwise stay at width 1 and
 # races could hide), plus an explicit build/vet/test pass over examples/
 # so the public Scenario/Runner API cannot drift from its documented
 # usage, plus cross-GOARCH and purego builds so the arch-gated hash
-# kernels cannot silently break platforms this box does not run.
+# kernels cannot silently break platforms this box does not run, plus a
+# vet and short self-test of the perfbench/ benchmark module, which
+# tier-1 never compiles because it is a module of its own.
 
 GO ?= go
 
@@ -20,9 +21,9 @@ SWEEP_PARALLEL ?= 0
 # persisted, and re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples bench bench-epoch bench-kernel compare sweep cover chaos lint serve-e2e crossbuild
+.PHONY: verify tier1 race examples perfbench-test bench bench-epoch bench-kernel compare sweep cover chaos lint serve-e2e crossbuild
 
-verify: tier1 lint race examples crossbuild
+verify: tier1 lint race examples crossbuild perfbench-test
 
 tier1:
 	$(GO) build ./...
@@ -40,6 +41,14 @@ examples:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 	$(GO) test -count=1 ./examples/...
+
+# perfbench/ builds against the library's public API (and a few internal
+# packages) from its own module, so `go test ./...` at the root never
+# compiles it. Vet it and run its self-tests at reduced sizes here; the
+# module has no dependencies beyond the library, so no network is needed.
+perfbench-test:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./...
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) test -short -count=1 ./...
 
 # Every GOARCH with a hand-written hash kernel, plus the purego escape
 # hatch, must keep compiling and vetting no matter which box edits the

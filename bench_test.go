@@ -107,27 +107,20 @@ func BenchmarkSchemeEndToEnd(b *testing.B) {
 }
 
 // BenchmarkScalingNetworkSize times Algorithm A end to end as the
-// network grows (noiseless): the per-node simulation cost, with the
-// sequential and worker-pool send executors side by side.
+// network grows (noiseless): the per-node simulation cost.
 func BenchmarkScalingNetworkSize(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32} {
-		for _, parallel := range []bool{false, true} {
-			name := "n=" + strconv.Itoa(n)
-			if parallel {
-				name += "/parallel"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := mpic.Run(mpic.Config{Topology: "line", N: n, Seed: 1, IterFactor: 10, Parallel: parallel})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Success {
-						b.Fatal("run failed")
-					}
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := mpic.Run(mpic.Config{Topology: "line", N: n, Seed: 1, IterFactor: 10})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if !res.Success {
+					b.Fatal("run failed")
+				}
+			}
+		})
 	}
 }
 
@@ -413,8 +406,8 @@ func BenchmarkMicroNetworkTiming(b *testing.B) {
 		delay mpic.DelaySpec
 	}{
 		{"lockstep", nil},
-		{"jitter-ontime", mpic.JitterDelay(0.5)},  // base 0.45 + 0.5 → never late
-		{"jitter-late", mpic.JitterDelay(0.8)},    // tail crosses the deadline
+		{"jitter-ontime", mpic.JitterDelay(0.5)}, // base 0.45 + 0.5 → never late
+		{"jitter-late", mpic.JitterDelay(0.8)},   // tail crosses the deadline
 		{"lognormal", mpic.LognormalDelay(0.25)},
 	}
 	for _, v := range variants {

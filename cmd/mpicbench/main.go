@@ -132,7 +132,7 @@ func run(args []string) error {
 		swSchemes  = fs.String("sweep-schemes", "A", "sweep: comma-separated schemes (1|A|B|C)")
 		swRates    = fs.String("sweep-rates", "0.001", "sweep: comma-separated noise rates")
 		swIters    = fs.Int("sweep-iterfactor", 30, "sweep: iteration budget multiplier")
-		swParallel = fs.Int("parallel", 0, "sweep: concurrent cells (0 = GOMAXPROCS, 1 = sequential)")
+		swWorkers  = fs.Int("parallel", 0, "sweep: concurrent cells (0 = GOMAXPROCS, 1 = sequential)")
 		swCkpt     = fs.String("sweep-checkpoint", "", "sweep: incremental JSON checkpoint file; an existing one resumes the grid")
 		swHashMode = fs.String("sweep-hashmode", "", "sweep: prefix-hash seed discipline for every cell (epoch|legacy|incremental; empty = the library default, epoch)")
 		swEpochR   = fs.Int("sweep-epoch-refresh", 0, "sweep: epoch mode's seed-refresh interval R in iterations (0 = default)")
@@ -189,7 +189,7 @@ func run(args []string) error {
 				HashMode: *swHashMode, EpochRefresh: *swEpochR,
 				Delay: *swDelay, NetFaults: *swNetFlt,
 			},
-			ratesSet: ratesSet, parallel: *swParallel, checkpoint: *swCkpt,
+			ratesSet: ratesSet, parallel: *swWorkers, checkpoint: *swCkpt,
 			retries: *retries, failFast: *failFast,
 		})
 	}

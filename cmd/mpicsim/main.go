@@ -83,7 +83,6 @@ func run(w io.Writer, args []string) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		iters    = fs.Int("iterfactor", 100, "iteration budget multiplier (paper: 100)")
 		faithful = fs.Bool("faithful", false, "run all iterations (no early stop)")
-		parallel = fs.Bool("parallel", false, "use the concurrent network executor")
 		hashmode = fs.String("hashmode", "", "prefix-hash seed discipline: epoch|legacy|incremental (default epoch — checkpointed hashing with the seed block refreshed every -epoch-refresh iterations)")
 		epochR   = fs.Int("epoch-refresh", 0, "epoch mode's seed-refresh interval R in iterations (0 = default)")
 		increm   = fs.Bool("incremental-hash", false, "deprecated alias for -hashmode incremental: checkpointed prefix hashing with a never-refreshed seed block")
@@ -114,7 +113,6 @@ func run(w io.Writer, args []string) error {
 		Seed:            *seed,
 		IterFactor:      *iters,
 		Faithful:        *faithful,
-		Parallel:        *parallel,
 		HashMode:        *hashmode,
 		EpochRefresh:    *epochR,
 		IncrementalHash: *increm,

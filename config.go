@@ -46,8 +46,6 @@ type Config struct {
 	// Faithful disables the oracle's early stop, running all
 	// IterFactor·|Π| iterations like the paper's protocol.
 	Faithful bool
-	// Parallel enables the concurrent network executor.
-	Parallel bool
 	// HashMode selects the prefix-hash seed discipline by name: "epoch"
 	// (or empty — the default epoch-refresh fast path), "legacy" (the
 	// paper-faithful per-iteration reseeding), or "incremental" (the
@@ -111,7 +109,6 @@ func (cfg Config) Scenario() (Scenario, error) {
 		Seed:            cfg.Seed,
 		IterFactor:      cfg.IterFactor,
 		Faithful:        cfg.Faithful,
-		Parallel:        cfg.Parallel,
 		HashMode:        mode,
 		EpochRefresh:    cfg.EpochRefresh,
 		IncrementalHash: cfg.IncrementalHash,

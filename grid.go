@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mpic/internal/cores"
 )
 
 // GridKey identifies one cell of a grid by its (n, scheme, rate, delay)
@@ -552,7 +550,7 @@ func (g Grid) openSession() (*gridSession, []int, error) {
 // the cells that finished. With Grid.Progress set, fine-grained events
 // narrate execution inside each cell.
 //
-// Parallel execution is result-identical to sequential: each cell's
+// Concurrent execution is result-identical to sequential: each cell's
 // trials depend only on the cell spec (see GridCell), and the Runner's
 // arena is safe for concurrent draws. Scenario state shared between
 // cells — Observers, a Tune closure mutating captured state — must be
@@ -617,16 +615,6 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 		workers = len(pending)
 	}
 
-	// The elastic worker split: one core-budget token pool, sized at
-	// GOMAXPROCS, arbitrates between the cell workers here and the
-	// round-level send pools inside each run. Every live cell worker
-	// holds one token; a cell that hits a heavy round borrows whatever is
-	// spare (nothing, while the grid saturates the machine; everything,
-	// once the tail of the grid leaves cores idle). Cell results are
-	// bit-identical at any borrow outcome — the budget only moves wall
-	// clock around.
-	budget := cores.NewBudget(runtime.GOMAXPROCS(0))
-
 	// Cancelling the derived context on the first error stops the other
 	// workers at their next run boundary without racing the caller's ctx.
 	ctx, cancel := context.WithCancel(ctx)
@@ -645,15 +633,13 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			budget.Acquire(1)
-			defer budget.Release(1)
 			for {
 				slot := int(next.Add(1))
 				if slot >= len(pending) || ctx.Err() != nil {
 					return
 				}
 				i := pending[slot]
-				res, err := r.runGridCellRetrying(ctx, g, i, prog, budget)
+				res, err := r.runGridCellRetrying(ctx, g, i, prog)
 				mu.Lock()
 				if err != nil && g.OnCellError == QuarantineCells && ctx.Err() == nil {
 					// Quarantine: record and stream the failure, keep the
@@ -707,10 +693,6 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 		}()
 	}
 	wg.Wait()
-	if r != nil {
-		st := budget.Stats()
-		r.lastGridPool.Store(&st)
-	}
 	if sess != nil && (firstErr != nil || ctx.Err() != nil) {
 		// Flush on any interrupted exit — including cancellations that
 		// surface as a wrapped run error in firstErr, and cell failures.
@@ -751,7 +733,7 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, sink GridSink) error {
 // bit-identical to a first-try success), recovered panics count as
 // ordinary attempt failures, and cancellation is returned immediately
 // rather than retried.
-func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *progressEmitter, budget *cores.Budget) (GridCellResult, error) {
+func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *progressEmitter) (GridCellResult, error) {
 	attempts := g.Retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -759,7 +741,7 @@ func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *p
 	var res GridCellResult
 	var err error
 	for attempt := 1; ; attempt++ {
-		res, err = r.runGridCellOnce(ctx, g.Cells[i], i, len(g.Cells), g.KeepResults, prog, budget)
+		res, err = r.runGridCellOnce(ctx, g.Cells[i], i, len(g.Cells), g.KeepResults, prog)
 		res.Attempts = attempt
 		if err == nil || ctx.Err() != nil || attempt >= attempts {
 			return res, err
@@ -780,7 +762,7 @@ func (r *Runner) runGridCellRetrying(ctx context.Context, g Grid, i int, prog *p
 // closures, observers — comes back as a *CellPanicError instead of
 // crashing the pool, so the retry and quarantine machinery can treat it
 // like any other cell failure.
-func (r *Runner) runGridCellOnce(ctx context.Context, cell GridCell, index, total int, keep bool, prog *progressEmitter, budget *cores.Budget) (res GridCellResult, err error) {
+func (r *Runner) runGridCellOnce(ctx context.Context, cell GridCell, index, total int, keep bool, prog *progressEmitter) (res GridCellResult, err error) {
 	key := cell.key()
 	defer func() {
 		if p := recover(); p != nil {
@@ -793,7 +775,7 @@ func (r *Runner) runGridCellOnce(ctx context.Context, cell GridCell, index, tota
 			err = &CellPanicError{Cell: index, Key: key, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return r.runGridCell(ctx, cell, index, total, keep, prog, budget)
+	return r.runGridCell(ctx, cell, index, total, keep, prog)
 }
 
 // CollectGrid is RunGrid buffered into a slice: it runs the grid and
@@ -832,7 +814,7 @@ func (c GridCell) key() GridKey {
 }
 
 // runGridCell executes one cell's trials and aggregates them.
-func (r *Runner) runGridCell(ctx context.Context, cell GridCell, index, total int, keep bool, prog *progressEmitter, budget *cores.Budget) (GridCellResult, error) {
+func (r *Runner) runGridCell(ctx context.Context, cell GridCell, index, total int, keep bool, prog *progressEmitter) (GridCellResult, error) {
 	key := cell.key()
 	trials := cell.Trials
 	if trials < 1 {
@@ -862,7 +844,7 @@ func (r *Runner) runGridCell(ctx context.Context, cell GridCell, index, total in
 			}}
 			sc.Observers = append(append([]Observer(nil), sc.Observers...), tp)
 		}
-		res, err := r.runScenario(ctx, sc, budget)
+		res, err := r.Run(ctx, sc)
 		if err != nil {
 			return out, fmt.Errorf("grid cell n=%d scheme=%v rate=%g trial=%d: %w",
 				key.N, key.Scheme, key.Rate, trial, err)

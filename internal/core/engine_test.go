@@ -396,25 +396,6 @@ func TestOutputsMatchReferenceExactly(t *testing.T) {
 	}
 }
 
-// TestParallelEngineIdentical: the concurrent send executor yields
-// bit-identical runs for the full scheme.
-func TestParallelEngineIdentical(t *testing.T) {
-	g := graph.Clique(4)
-	proto := quickProto(g, 14)
-	params := quickParams(AlgB, g, 14)
-	seq, err := Run(Options{Protocol: proto, Params: params})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(Options{Protocol: proto, Params: params, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Metrics.CC != par.Metrics.CC || seq.Iterations != par.Iterations || seq.GStar != par.GStar {
-		t.Fatal("parallel execution diverged from sequential")
-	}
-}
-
 // TestHeavyNoiseFailsGracefully: way past the tolerance the run fails,
 // but must terminate within the iteration budget and report honestly.
 func TestHeavyNoiseFailsGracefully(t *testing.T) {

@@ -49,8 +49,7 @@ func testEnvEpoch(t *testing.T, g *graph.Graph, r int) *env {
 // them bit-for-bit, proving the legacy escape hatch really is the seed
 // engine — now that the repo default is epoch refresh, these pins are
 // what keeps old recorded runs reproducible on demand. A fifth subtest
-// pins the epoch default itself: a given (seed, R) replays bit-identically
-// under the sequential and the parallel executor.
+// pins the epoch default itself: a given (seed, R) replays bit-identically.
 func TestRunFixedSeedPinned(t *testing.T) {
 	type pin struct {
 		succ          bool
@@ -130,14 +129,13 @@ func TestRunFixedSeedPinned(t *testing.T) {
 	})
 	t.Run("epoch", func(t *testing.T) {
 		// The default mode's own pin: a fixed (seed, R) replays
-		// bit-identically, sequential or parallel. R = 32 puts three
-		// refreshes inside the 104-iteration run, so the pin covers the
-		// rebase machinery, not just the within-epoch incremental path —
-		// and on this seed the within-epoch-only run (any R > 104,
-		// including the default) actually fails on a persistent
-		// collision, which is exactly the pathology refreshing exists to
-		// cap. Values captured when epoch refresh became the default.
-		run := func(parallel bool) *Result {
+		// bit-identically. R = 32 puts three refreshes inside the
+		// 104-iteration run, so the pin covers the rebase machinery, not
+		// just the within-epoch incremental path — and on this seed the
+		// within-epoch-only run (any R > 104, including the default)
+		// actually fails on a persistent collision, which is exactly the
+		// pathology refreshing exists to cap. Values captured when epoch refresh became the default.
+		run := func() *Result {
 			g := graph.Ring(6)
 			proto := protocol.NewRandom(g, 120, 0.5, 3, nil)
 			params := ParamsFor(Alg1, g)
@@ -145,22 +143,14 @@ func TestRunFixedSeedPinned(t *testing.T) {
 			params.EarlyStop = false
 			params.CRSKey = 42
 			params.EpochRefresh = 32
-			res, err := Run(Options{Protocol: proto, Params: params, Parallel: parallel,
+			res, err := Run(Options{Protocol: proto, Params: params,
 				Adversary: adversary.NewRandomRate(0.002, rand.New(rand.NewSource(11)))})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		seq, par := run(false), run(true)
-		want := pin{true, 104, 49, 32833, 0, -1, -1}
-		check(t, seq, want)
-		check(t, par, want)
-		for i := range seq.Outputs {
-			if string(seq.Outputs[i]) != string(par.Outputs[i]) {
-				t.Fatalf("party %d output differs between sequential and parallel epoch runs", i)
-			}
-		}
+		check(t, run(), pin{true, 104, 49, 32833, 0, -1, -1})
 	})
 }
 

@@ -99,44 +99,6 @@ func TestHasherMatchesReferenceEvaluators(t *testing.T) {
 	}
 }
 
-// TestRunParallelMatchesSequential: the persistent worker pool must leave
-// every observable run outcome identical to the sequential executor.
-func TestRunParallelMatchesSequential(t *testing.T) {
-	g := graph.Ring(6)
-	run := func(parallel bool) *Result {
-		proto := protocol.NewRandom(g, 120, 0.5, 3, nil)
-		params := ParamsFor(Alg1, g)
-		params.IterFactor = 3
-		params.EarlyStop = false
-		res, err := Run(Options{
-			Protocol:  proto,
-			Params:    params,
-			Adversary: adversary.NewRandomRate(0.002, rand.New(rand.NewSource(11))),
-			Parallel:  parallel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(false)
-	par := run(true)
-	if seq.Success != par.Success || seq.Iterations != par.Iterations ||
-		seq.Metrics.CC != par.Metrics.CC || seq.GStar != par.GStar {
-		t.Fatalf("parallel run diverges: seq={succ:%v it:%d cc:%d g*:%d} par={succ:%v it:%d cc:%d g*:%d}",
-			seq.Success, seq.Iterations, seq.Metrics.CC, seq.GStar,
-			par.Success, par.Iterations, par.Metrics.CC, par.GStar)
-	}
-	if len(seq.Outputs) != len(par.Outputs) {
-		t.Fatal("output count differs")
-	}
-	for i := range seq.Outputs {
-		if string(seq.Outputs[i]) != string(par.Outputs[i]) {
-			t.Fatalf("party %d output differs between sequential and parallel runs", i)
-		}
-	}
-}
-
 // TestRunReproducibleAcrossProcesses guards the CRSKey promise ("runs
 // with equal keys are reproducible"): two exchange-mode runs with the same
 // seed must agree exactly. The seed code drew per-link randomness while

@@ -28,12 +28,16 @@ type Scenario struct {
 	Seed            int64   `json:"seed,omitempty"`
 	IterFactor      int     `json:"iterfactor,omitempty"`
 	Faithful        bool    `json:"faithful,omitempty"`
-	Parallel        bool    `json:"parallel,omitempty"`
 	HashMode        string  `json:"hashmode,omitempty"`
 	EpochRefresh    int     `json:"epochRefresh,omitempty"`
 	IncrementalHash bool    `json:"incrementalHash,omitempty"`
 	Delay           string  `json:"delay,omitempty"`
 	NetFaults       string  `json:"netfaults,omitempty"`
+	// Parallel is accepted and ignored. It selected a round-level send
+	// executor that no longer exists; the field stays so JSON specs that
+	// set it still decode under DisallowUnknownFields, and it never
+	// changes the built scenario.
+	Parallel bool `json:"parallel,omitempty"`
 }
 
 // Build resolves the specification into a runnable mpic.Scenario
@@ -58,7 +62,6 @@ func (s Scenario) Build() (mpic.Scenario, error) {
 		Seed:            s.Seed,
 		IterFactor:      s.IterFactor,
 		Faithful:        s.Faithful,
-		Parallel:        s.Parallel,
 		HashMode:        s.HashMode,
 		EpochRefresh:    s.EpochRefresh,
 		IncrementalHash: s.IncrementalHash,

@@ -1,6 +1,8 @@
 package gridspec
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,6 +26,39 @@ func TestScenarioBuild(t *testing.T) {
 	}
 	if sc.Seed != 7 {
 		t.Fatalf("seed = %d, want 7", sc.Seed)
+	}
+}
+
+// TestScenarioParallelIgnored: "parallel" named a send executor that no
+// longer exists. Stored specs that set it must still decode under a
+// strict decoder, and must build the same scenario, with the same grid
+// fingerprint, as the spec without it.
+func TestScenarioParallelIgnored(t *testing.T) {
+	build := func(body string) mpic.Scenario {
+		t.Helper()
+		var s Scenario
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&s); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		sc, err := s.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return sc
+	}
+	const spec = `"topology":"ring","n":5,"scheme":"B","noise":"random","rate":0.002,"seed":3`
+	with := build(`{` + spec + `,"parallel":true}`)
+	without := build(`{` + spec + `}`)
+	if !reflect.DeepEqual(with, without) {
+		t.Fatalf("parallel changed the scenario:\n%+v\nvs\n%+v", with, without)
+	}
+	fp := func(sc mpic.Scenario) string {
+		return mpic.Grid{Cells: []mpic.GridCell{{Scenario: sc, Trials: 2}}}.Fingerprint()
+	}
+	if fp(with) != fp(without) {
+		t.Fatalf("parallel changed the grid fingerprint: %s vs %s", fp(with), fp(without))
 	}
 }
 

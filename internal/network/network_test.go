@@ -1,7 +1,6 @@
 package network
 
 import (
-	"runtime"
 	"testing"
 
 	"mpic/internal/adversary"
@@ -179,51 +178,6 @@ func TestEnginePhaseAttribution(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: the concurrent send executor must produce
-// identical results.
-func TestParallelMatchesSequential(t *testing.T) {
-	g := graph.Clique(5)
-	mk := func() ([]Party, []*echoParty) {
-		return mkParties(5, map[int]func(int, graph.Node) bitstring.Symbol{
-			0: func(r int, to graph.Node) bitstring.Symbol {
-				return bitstring.Symbol(uint8(r+int(to)) % 3)
-			},
-			2: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym0 },
-			4: func(r int, to graph.Node) bitstring.Symbol {
-				if r%2 == 0 {
-					return bitstring.Sym1
-				}
-				return bitstring.Silence
-			},
-		})
-	}
-	psA, epsA := mk()
-	engA, _ := NewEngine(g, psA, nil, nil)
-	engA.RunRounds(0, 10)
-
-	forceMultiProc(t)
-	psB, epsB := mk()
-	engB, _ := NewEngine(g, psB, nil, nil)
-	engB.Parallel = true
-	engB.RunRounds(0, 10)
-	defer engB.Close()
-
-	if engA.Metrics().CC != engB.Metrics().CC {
-		t.Fatalf("CC differs: %d vs %d", engA.Metrics().CC, engB.Metrics().CC)
-	}
-	for i := range epsA {
-		a, b := epsA[i].received, epsB[i].received
-		if len(a) != len(b) {
-			t.Fatalf("party %d received %d vs %d", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("party %d delivery %d differs: %+v vs %+v", i, j, a[j], b[j])
-			}
-		}
-	}
-}
-
 func TestLinksDeterministicOrder(t *testing.T) {
 	g := graph.Ring(4)
 	ps, _ := mkParties(4, nil)
@@ -238,82 +192,4 @@ func TestLinksDeterministicOrder(t *testing.T) {
 			t.Fatal("links not sorted")
 		}
 	}
-}
-
-// forceMultiProc raises GOMAXPROCS so the pool engages even on a
-// single-CPU machine (the engine refuses to parallelize at GOMAXPROCS=1).
-func forceMultiProc(t *testing.T) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
-
-// TestWorkerPoolAcrossRuns exercises the persistent pool over many rounds
-// and multiple RunRounds calls (the pool outlives each call), including
-// the Deliver/EndRound interleaving. Run with -race: the test's value is
-// largely the happens-before edges it forces the pool to prove.
-func TestWorkerPoolAcrossRuns(t *testing.T) {
-	forceMultiProc(t)
-	g := graph.Clique(9)
-	n := g.N()
-	fns := make(map[int]func(int, graph.Node) bitstring.Symbol, n)
-	for i := 0; i < n; i++ {
-		id := i
-		fns[i] = func(r int, to graph.Node) bitstring.Symbol {
-			return bitstring.Symbol(uint8(r+id+int(to)) % 3)
-		}
-	}
-	psA, epsA := mkParties(n, fns)
-	engA, _ := NewEngine(g, psA, nil, nil)
-	engA.RunRounds(0, 60)
-
-	psB, epsB := mkParties(n, fns)
-	engB, _ := NewEngine(g, psB, nil, nil)
-	engB.Parallel = true
-	for r := 0; r < 60; r += 20 {
-		engB.RunRounds(r, r+20)
-	}
-	engB.Close()
-	engB.Close() // idempotent
-
-	// A hinted engine mixes pooled and sequential rounds in one run.
-	psC, epsC := mkParties(n, fns)
-	engC, _ := NewEngine(g, psC, nil, nil)
-	engC.Parallel = true
-	engC.SetParallelHint(func(round int) bool { return round%3 == 0 })
-	engC.RunRounds(0, 60)
-	engC.Close()
-
-	for i := range epsA {
-		for name, other := range map[string][]recorded{"pooled": epsB[i].received, "hinted": epsC[i].received} {
-			a := epsA[i].received
-			if len(a) != len(other) {
-				t.Fatalf("party %d received %d vs %d deliveries (%s)", i, len(a), len(other), name)
-			}
-			for j := range a {
-				if a[j] != other[j] {
-					t.Fatalf("party %d delivery %d differs (%s): %+v vs %+v", i, j, name, a[j], other[j])
-				}
-			}
-		}
-	}
-}
-
-// TestWorkerPoolSingleParty: the pool must not be engaged (or must behave)
-// when only one party sends; exercise the len(ranges)<=1 guard via a
-// two-node graph where the engine still has two ranges, and a degenerate
-// RunRounds(0,0).
-func TestWorkerPoolEdgeCases(t *testing.T) {
-	forceMultiProc(t)
-	g := graph.Line(2)
-	ps, _ := mkParties(2, nil)
-	eng, _ := NewEngine(g, ps, nil, nil)
-	eng.Parallel = true
-	eng.RunRounds(0, 0) // no rounds: pool never starts
-	eng.Close()         // Close without pool is a no-op
-	eng2ps, _ := mkParties(2, nil)
-	eng2, _ := NewEngine(g, eng2ps, nil, nil)
-	eng2.Parallel = true
-	eng2.RunRounds(0, 5)
-	eng2.Close()
 }

@@ -366,6 +366,27 @@ func TestShardedQuarantine(t *testing.T) {
 	}
 }
 
+// TestShardedTinyLeaseTTL: a lease TTL under 3ns makes TTL/3 zero, which
+// time.NewTicker rejects with a panic that kills the process. Any
+// positive TTL must run the grid to completion.
+func TestShardedTinyLeaseTTL(t *testing.T) {
+	runner := mpic.NewRunner()
+	defer runner.Close()
+	grid := mpic.Grid{Cells: []mpic.GridCell{{Scenario: gridBase()}}}
+	var done int
+	for _, ttl := range []time.Duration{1, 2} {
+		store := mpic.NewDirLeaseStore(t.TempDir())
+		err := runner.RunGridSharded(context.Background(), grid, store,
+			mpic.ShardOptions{Worker: "w", LeaseTTL: ttl}, func(mpic.GridCellResult) { done++ })
+		if err != nil {
+			t.Fatalf("LeaseTTL=%v: %v", ttl, err)
+		}
+	}
+	if done != 2 {
+		t.Fatalf("%d cells streamed, want 2", done)
+	}
+}
+
 // TestShardedRejectsDoubleStore pins the API guard: a sharded grid must
 // not also carry a Grid.Store, and a nil lease store is refused.
 func TestShardedRejectsDoubleStore(t *testing.T) {

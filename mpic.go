@@ -51,7 +51,7 @@
 //	        res.Cell.Successes, res.Cell.Trials)
 //	})
 //
-// Parallel execution is result-identical to sequential: every trial's
+// Concurrent execution is result-identical to sequential: every trial's
 // seed is a pure function of its cell's spec (seed salting is per-cell
 // and deterministic), so scheduling never leaks into results. Cells are
 // keyed by (n, scheme, rate) — GridKey — which is how streamed,
@@ -332,8 +332,8 @@ type BaselineResult = baseline.Result
 
 // RunProtocol executes a coded simulation of a caller-provided protocol
 // with explicit parameters — the advanced entry point below Scenario.
-func RunProtocol(p Protocol, params Params, adv Adversary, parallel bool) (*Result, error) {
-	return core.Run(core.Options{Protocol: p, Params: params, Adversary: adv, Parallel: parallel})
+func RunProtocol(p Protocol, params Params, adv Adversary) (*Result, error) {
+	return core.Run(core.Options{Protocol: p, Params: params, Adversary: adv})
 }
 
 // Adversary is the channel-noise interface (see the adversary

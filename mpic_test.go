@@ -137,20 +137,3 @@ func TestFaithfulModeRunsAllIterations(t *testing.T) {
 		t.Error("faithful noiseless run failed")
 	}
 }
-
-func TestParallelExecutorMatches(t *testing.T) {
-	base := Config{Topology: "clique", N: 5, Seed: 17, IterFactor: 10}
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Parallel = true
-	par, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Metrics.CC != par.Metrics.CC || seq.Success != par.Success || seq.Iterations != par.Iterations {
-		t.Fatalf("parallel run diverged: CC %d vs %d, iters %d vs %d",
-			seq.Metrics.CC, par.Metrics.CC, seq.Iterations, par.Iterations)
-	}
-}

@@ -3,10 +3,8 @@ package mpic
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"mpic/internal/core"
-	"mpic/internal/cores"
 )
 
 // Runner executes scenarios while holding run-to-run state: a shared
@@ -19,10 +17,6 @@ import (
 // (using the Runner afterwards is still valid — it just re-warms).
 type Runner struct {
 	arena *core.Arena
-	// lastGridPool snapshots the most recent RunGrid's core-budget
-	// occupancy counters when that grid finishes — internal
-	// instrumentation behind the elastic-split measurements in PERF.md.
-	lastGridPool atomic.Pointer[cores.Stats]
 }
 
 // NewRunner returns a Runner with an empty arena.
@@ -33,20 +27,11 @@ func NewRunner() *Runner { return &Runner{arena: core.NewArena()} }
 // context.Background() when cancellation is not needed. A nil Runner is
 // valid and runs without an arena.
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*Result, error) {
-	return r.runScenario(ctx, sc, nil)
-}
-
-// runScenario is Run with the grid's shared core budget attached: grid
-// workers pass the budget so a parallel scenario's round engine borrows
-// only the cores the other cells are not using (the elastic worker
-// split). A nil budget lets the run assume it owns the machine.
-func (r *Runner) runScenario(ctx context.Context, sc Scenario, budget *cores.Budget) (*Result, error) {
 	opts, err := sc.options()
 	if err != nil {
 		return nil, err
 	}
 	opts.Context = ctx
-	opts.CoreBudget = budget
 	if r != nil {
 		opts.Arena = r.arena
 	}
@@ -58,19 +43,6 @@ func (r *Runner) Close() {
 	if r != nil {
 		r.arena.Reset()
 	}
-}
-
-// gridPoolStats returns the elastic core-budget occupancy of the most
-// recently finished RunGrid (zero Stats before any grid, or on a nil
-// Runner). Internal instrumentation for the measurement tests.
-func (r *Runner) gridPoolStats() cores.Stats {
-	if r == nil {
-		return cores.Stats{}
-	}
-	if s := r.lastGridPool.Load(); s != nil {
-		return *s
-	}
-	return cores.Stats{}
 }
 
 // RunScenario executes one scenario without a reusable Runner — the
