@@ -21,7 +21,7 @@ SWEEP_PARALLEL ?= 0
 # persisted, and re-running the same grid resumes instead of restarting.
 SWEEP_CHECKPOINT ?= SWEEP.ckpt.json
 
-.PHONY: verify tier1 race examples perfbench-test bench bench-epoch bench-kernel compare sweep cover chaos lint serve-e2e crossbuild
+.PHONY: verify tier1 race examples perfbench-test bench bench-epoch bench-kernel compare sweep cover chaos lint serve-e2e crossbuild fuzz
 
 verify: tier1 lint race examples crossbuild perfbench-test
 
@@ -101,7 +101,16 @@ bench-kernel:
 # -repeat 3 stamps the artefact with median-of-three timings so a single
 # preempted run cannot flap the gate (the PR 9 BENCH_PR8 regeneration).
 compare:
-	$(GO) run ./cmd/mpicbench -quick -repeat 3 -json BENCH_PR10.json -compare BENCH_PR9.json
+	$(GO) run ./cmd/mpicbench -quick -repeat 3 -json BENCH_PR14.json -compare BENCH_PR10.json
+
+# Native fuzzing of the parsers that read untrusted input (fault
+# schedules and delay specs reach the library from mpicserve's POST
+# body), each for a bounded time. Their seed corpora run on every
+# `go test`; this target searches beyond them.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseNetFaults$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDelay$$' -fuzztime $(FUZZTIME) .
 
 # The grid service end to end: submit over HTTP, shard across workers,
 # stream progress over SSE, survive a restart mid-grid, and release

@@ -2,6 +2,7 @@ package mpic
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -179,7 +180,7 @@ func ParseDelay(s string) (DelaySpec, error) {
 	if params != "" {
 		var err error
 		param, err = strconv.ParseFloat(params, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(param) || math.IsInf(param, 0) {
 			return nil, fmt.Errorf("mpic: delay %q: bad parameter %q", s, params)
 		}
 	}

@@ -2,6 +2,7 @@ package mpic_test
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -218,6 +219,102 @@ func TestParseDelayAndFaults(t *testing.T) {
 			t.Errorf("ParseNetFaults(%q) accepted", bad)
 		}
 	}
+}
+
+// TestParseRejectsNonFinite: NaN and ±Inf parse as floats, but no rate
+// or delay may take them — every range check is false for NaN, and a
+// NaN delay burns the whole iteration budget with NaN histograms.
+func TestParseRejectsNonFinite(t *testing.T) {
+	for _, s := range []string{
+		"spike=1,spike-delay=NaN",
+		"spike-delay=Inf",
+		"spike-delay=+Inf",
+		"straggler-delay=NaN",
+		"straggler-delay=inf",
+		"outage=NaN",
+		"spike=NaN",
+		"outage=-Inf",
+	} {
+		if f, err := mpic.ParseNetFaults(s); err == nil {
+			t.Errorf("ParseNetFaults(%q) accepted %+v", s, *f)
+		}
+	}
+	for _, s := range []string{"jitter:NaN", "jitter:Inf", "jitter:-Inf", "lognormal:NaN", "lognormal:inf", "bands:NaN"} {
+		if d, err := mpic.ParseDelay(s); err == nil {
+			t.Errorf("ParseDelay(%q) accepted %+v", s, d)
+		}
+	}
+	for name, f := range map[string]mpic.NetFaults{
+		"NaN outage":          {OutageRate: math.NaN()},
+		"NaN spike rate":      {SpikeRate: math.NaN()},
+		"Inf spike delay":     {SpikeDelay: math.Inf(1)},
+		"NaN straggler delay": {StragglerDelay: math.NaN()},
+	} {
+		if err := f.Validate(); err == nil {
+			t.Errorf("Validate accepted %s", name)
+		}
+	}
+}
+
+// parserSeeds are the inputs of the parser tests above, fed to the fuzz
+// targets as their seed corpus.
+var parserSeeds = []string{
+	"", "none", "unit", "lockstep", "jitter", "jitter:0.5", "lognormal:0.3",
+	"lognormal:bogus", "bands:0.4", "bands:2", "no-such-model",
+	"outage=0.01,outage-len=4,spike=0.1,spike-delay=1.5,stragglers=2,straggler-delay=0.7,crashes=1,crash-len=20,seed=9",
+	"outage", "outage=x", "nope=1", "outage=2", "spike=1,spike-delay=NaN",
+	"spike-delay=Inf", "straggler-delay=NaN", "outage=NaN", "jitter:NaN",
+}
+
+// FuzzParseNetFaults: the fault-schedule parser reads untrusted input (a
+// grid spec posted to mpicserve). It must never panic, and a schedule it
+// accepts must hold only finite numbers and pass Validate.
+func FuzzParseNetFaults(f *testing.F) {
+	for _, s := range parserSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		nf, err := mpic.ParseNetFaults(s)
+		if err != nil || nf == nil {
+			return
+		}
+		for _, x := range []float64{nf.OutageRate, nf.SpikeRate, nf.SpikeDelay, nf.StragglerDelay} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("ParseNetFaults(%q) accepted a non-finite field: %+v", s, *nf)
+			}
+		}
+		if err := nf.Validate(); err != nil {
+			t.Fatalf("ParseNetFaults(%q) accepted %+v, which fails Validate: %v", s, *nf, err)
+		}
+	})
+}
+
+// FuzzParseDelay: the delay parser must never panic, and a built-in spec
+// it accepts must hold only finite parameters.
+func FuzzParseDelay(f *testing.F) {
+	for _, s := range parserSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := mpic.ParseDelay(s)
+		if err != nil || d == nil {
+			return
+		}
+		var params []float64
+		switch spec := d.(type) {
+		case mpic.JitterDelaySpec:
+			params = []float64{spec.Base, spec.Jitter}
+		case mpic.LognormalDelaySpec:
+			params = []float64{spec.Median, spec.Sigma}
+		case mpic.BandedDelaySpec:
+			params = []float64{spec.SlowFraction}
+		}
+		for _, x := range params {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("ParseDelay(%q) accepted a non-finite parameter: %+v", s, d)
+			}
+		}
+	})
 }
 
 // TestDelayRegistry: the fourth open registry behaves like the other

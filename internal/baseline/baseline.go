@@ -34,6 +34,7 @@ type Result struct {
 // at face value, Silence reads as 0.
 type uncodedParty struct {
 	id    graph.Node
+	nbrs  []graph.Node // the engine's neighbor ordinals index this
 	proto protocol.Protocol
 	rep   int // repetition factor; 1 = uncoded
 	view  *protocol.MapView
@@ -46,6 +47,7 @@ type uncodedParty struct {
 func newUncodedParty(id graph.Node, proto protocol.Protocol, rep int) *uncodedParty {
 	return &uncodedParty{
 		id:    id,
+		nbrs:  proto.Graph().Neighbors(id),
 		proto: proto,
 		rep:   rep,
 		view:  protocol.NewMapView(id, proto.Input(id)),
@@ -60,13 +62,13 @@ func (p *uncodedParty) ID() graph.Node { return p.id }
 
 // Send implements network.Party: round r of the real network carries
 // repetition copy r%rep of Π round r/rep.
-func (p *uncodedParty) Send(round int, to graph.Node) bitstring.Symbol {
+func (p *uncodedParty) Send(round int, ord int) bitstring.Symbol {
 	sched := p.proto.Schedule()
 	pr := round / p.rep
 	if pr >= sched.Rounds() {
 		return bitstring.Silence
 	}
-	l := channel.Link{From: p.id, To: to}
+	l := channel.Link{From: p.id, To: p.nbrs[ord]}
 	for _, tx := range sched.At(pr) {
 		if tx.Link() == l {
 			bit := p.proto.SendBit(p.view, pr, tx, p.seq[l]) & 1
@@ -85,13 +87,13 @@ func (p *uncodedParty) Send(round int, to graph.Node) bitstring.Symbol {
 }
 
 // Deliver implements network.Party: majority-decode the repetition block.
-func (p *uncodedParty) Deliver(round int, from graph.Node, sym bitstring.Symbol) {
+func (p *uncodedParty) Deliver(round int, ord int, sym bitstring.Symbol) {
 	sched := p.proto.Schedule()
 	pr := round / p.rep
 	if pr >= sched.Rounds() {
 		return
 	}
-	l := channel.Link{From: from, To: p.id}
+	l := channel.Link{From: p.nbrs[ord], To: p.id}
 	scheduled := false
 	for _, tx := range sched.At(pr) {
 		if tx.Link() == l {

@@ -369,20 +369,33 @@ func cancelled(ctx context.Context) error {
 // information back to the parties.
 type oracle struct {
 	e       *env
-	parties []*party
 	metrics *trace.Metrics
-	edges   []graph.Edge
-	lastOK  bool
+	// ends holds, per link in Graph.Edges() order, the U and V
+	// endpoints' link states.
+	ends [][2]*linkState
+	// states is observe's per-iteration buffer; potential.Compute does
+	// not keep it.
+	states []potential.EdgeState
+	lastOK bool
 }
 
 func newOracle(e *env, parties []*party, metrics *trace.Metrics) *oracle {
-	return &oracle{e: e, parties: parties, metrics: metrics, edges: e.g.Edges()}
+	edges := e.g.Edges()
+	o := &oracle{
+		e:       e,
+		metrics: metrics,
+		ends:    make([][2]*linkState, len(edges)),
+		states:  make([]potential.EdgeState, len(edges)),
+	}
+	for i, edge := range edges {
+		o.ends[i] = [2]*linkState{parties[edge.U].link(edge.V), parties[edge.V].link(edge.U)}
+	}
+	return o
 }
 
 // edgeState gathers both endpoints' view of one link.
-func (o *oracle) edgeState(edge graph.Edge) potential.EdgeState {
-	lu := o.parties[edge.U].links[edge.V]
-	lv := o.parties[edge.V].links[edge.U]
+func edgeState(ends [2]*linkState) potential.EdgeState {
+	lu, lv := ends[0], ends[1]
 	return potential.EdgeState{
 		LenU:   lu.T.Len(),
 		LenV:   lv.T.Len(),
@@ -398,11 +411,10 @@ func (o *oracle) edgeState(edge graph.Edge) potential.EdgeState {
 // undetected mismatches (evidence of hash collisions — the transcripts
 // differ yet neither endpoint is searching) and computes the potential.
 func (o *oracle) observe(iter int) potential.Snapshot {
-	states := make([]potential.EdgeState, len(o.edges))
 	ok := true
-	for i, edge := range o.edges {
-		st := o.edgeState(edge)
-		states[i] = st
+	for i, ends := range o.ends {
+		st := edgeState(ends)
+		o.states[i] = st
 		if st.B() > 0 {
 			ok = false
 			if !st.InMPU && !st.InMPV {
@@ -417,7 +429,7 @@ func (o *oracle) observe(iter int) potential.Snapshot {
 	o.lastOK = ok
 	k := o.e.params.ChunkBits / 5
 	ehc := o.metrics.TotalCorruptions() + o.metrics.HashCollisions
-	return potential.Compute(iter, states, k, len(o.edges), ehc)
+	return potential.Compute(iter, o.states, k, len(o.ends), ehc)
 }
 
 // done reports whether the network is fully synchronized with all of Π
@@ -427,8 +439,8 @@ func (o *oracle) done() bool { return o.lastOK }
 // gStar returns the final network-wide agreed prefix.
 func (o *oracle) gStar() int {
 	g := -1
-	for _, edge := range o.edges {
-		st := o.edgeState(edge)
+	for _, ends := range o.ends {
+		st := edgeState(ends)
 		if g < 0 || st.Common < g {
 			g = st.Common
 		}

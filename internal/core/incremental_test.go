@@ -537,7 +537,7 @@ func TestPlanRewindsUsesOrdinalSlice(t *testing.T) {
 	e := testEnv(t, g)
 	p := newParty(e, 1)
 	// Put one link ahead of the other.
-	long := p.links[graph.Node(0)]
+	long := p.link(0)
 	for i := 1; i <= 4; i++ {
 		long.T.Append(ChunkRecord{Index: i, Syms: []bitstring.Symbol{bitstring.Sym1}})
 	}
@@ -546,7 +546,7 @@ func TestPlanRewindsUsesOrdinalSlice(t *testing.T) {
 	if !p.rewindPlan[long.ord] {
 		t.Fatal("rewind not planned for the link ahead of the minimum")
 	}
-	if p.rewindPlan[p.links[graph.Node(2)].ord] {
+	if p.rewindPlan[p.link(2).ord] {
 		t.Fatal("rewind planned for a link at the minimum")
 	}
 	if long.T.Len() != 3 {

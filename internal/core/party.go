@@ -41,13 +41,15 @@ type env struct {
 type linkState struct {
 	peer graph.Node
 	edge graph.Edge
-	// ord is the link's position in the party's neighbor order; per-link
-	// scratch that must not allocate per round (the rewind plan) is
-	// indexed by it.
+	// ord is the link's position in the party's neighbor order: the
+	// ordinal the engine hands Send and Deliver, and the index of per-link
+	// scratch such as the rewind plan.
 	ord int
-	T   *Transcript
-	mp  *meeting.State
-	src hashing.SeedSource
+	// eord is the link's edge ordinal, the index ChunkSpec.Slots takes.
+	eord int
+	T    *Transcript
+	mp   *meeting.State
+	src  hashing.SeedSource
 	// ck, c1, c2 are the materialized seed blocks for the current
 	// iteration's three hash slots (counter, mp1 prefix, mp2 prefix); they
 	// are re-pointed by prepareIteration and feed the allocation-free
@@ -73,10 +75,11 @@ type linkState struct {
 	mpRecv []byte
 	mpOwn  meeting.Message
 
-	// Simulation phase state.
+	// Simulation phase state. pending is the chunk's buffer reserved in
+	// T; finishSimulation commits it.
 	skip     bool // received ⊥ this iteration
 	simChunk int  // chunk index being simulated; 0 = none
-	spec     *protocol.ChunkSpec
+	spec     protocol.ChunkSpec
 	slots    []protocol.Slot
 	pending  []bitstring.Symbol
 
@@ -125,7 +128,7 @@ type party struct {
 	env       *env
 	id        graph.Node
 	neighbors []graph.Node
-	links     map[graph.Node]*linkState
+	links     []*linkState // in neighbor order: links[i].peer == neighbors[i]
 
 	status     bool // the party's own continue/idle flag
 	flagAgg    bool // AND of own status and children's upward flags
@@ -168,7 +171,7 @@ func newParty(e *env, id graph.Node) *party {
 		env:          e,
 		id:           id,
 		neighbors:    e.g.Neighbors(id),
-		links:        make(map[graph.Node]*linkState),
+		links:        make([]*linkState, len(e.g.Neighbors(id))),
 		status:       true,
 		netCorrect:   true,
 		preparedIter: -1,
@@ -178,14 +181,14 @@ func newParty(e *env, id graph.Node) *party {
 		rng:          rand.New(rand.NewSource(e.params.CRSKey ^ (0x5851f42d4c957f2d * int64(id+1)))),
 	}
 	for i, v := range p.neighbors {
-		ls := &linkState{
+		p.links[i] = &linkState{
 			peer: v,
 			edge: graph.Edge{U: id, V: v}.Canonical(),
 			ord:  i,
+			eord: e.chunking.EdgeOrd(id, v),
 			T:    NewTranscript(),
 			mp:   meeting.NewState(),
 		}
-		p.links[v] = ls
 	}
 	p.initSeeds()
 	return p
@@ -196,12 +199,10 @@ func newParty(e *env, id graph.Node) *party {
 // mode the sender samples a short seed and encodes it, and sources are
 // built when the exchange phase completes.
 func (p *party) initSeeds() {
-	// Iterate links in neighbor order, not map order: exchange-mode
-	// senders draw their seeds from p.rng, and ranging over the map made
-	// the link→seed assignment (and so the whole run) vary between
-	// processes despite a fixed CRSKey.
-	for _, v := range p.neighbors {
-		ls := p.links[v]
+	// Links are in neighbor order: exchange-mode senders draw their
+	// seeds from p.rng, so the link→seed assignment (and so the whole
+	// run) depends on this order.
+	for _, ls := range p.links {
 		if p.env.params.Randomness == RandCRS {
 			a, b := crsLinkSeed(p.env.crsK0, p.env.crsK1, ls.edge)
 			p.env.bindSource(ls, p.env.newSource(a, b))
@@ -305,10 +306,21 @@ func seedToWords(bits []byte) (uint64, uint64) {
 // ID implements network.Party.
 func (p *party) ID() graph.Node { return p.id }
 
+// link returns the party's state for the link to v, or nil if v is not
+// a neighbor.
+func (p *party) link(v graph.Node) *linkState {
+	for i, w := range p.neighbors {
+		if w == v {
+			return p.links[i]
+		}
+	}
+	return nil
+}
+
 // Send implements network.Party.
-func (p *party) Send(round int, to graph.Node) bitstring.Symbol {
+func (p *party) Send(round int, ord int) bitstring.Symbol {
 	iter, ph, rel := p.phaseAt(round)
-	ls := p.links[to]
+	ls := p.links[ord]
 	switch ph {
 	case trace.PhaseExchange:
 		if ls.exchSend != nil && rel < len(ls.exchSend) {
@@ -321,7 +333,7 @@ func (p *party) Send(round int, to graph.Node) bitstring.Symbol {
 		}
 		return bitstring.SymbolFromBit(ls.mpOut[rel])
 	case trace.PhaseFlagPassing:
-		return p.flagSend(rel, to)
+		return p.flagSend(rel, ls.peer)
 	case trace.PhaseSimulation:
 		return p.simSend(rel, ls)
 	default: // rewind
@@ -335,9 +347,9 @@ func (p *party) Send(round int, to graph.Node) bitstring.Symbol {
 }
 
 // Deliver implements network.Party.
-func (p *party) Deliver(round int, from graph.Node, sym bitstring.Symbol) {
+func (p *party) Deliver(round int, ord int, sym bitstring.Symbol) {
 	_, ph, rel := p.phaseAt(round)
-	ls := p.links[from]
+	ls := p.links[ord]
 	switch ph {
 	case trace.PhaseExchange:
 		if ls.exchRecv != nil && rel < p.env.codec.CodewordBits() {
@@ -347,7 +359,7 @@ func (p *party) Deliver(round int, from graph.Node, sym bitstring.Symbol) {
 	case trace.PhaseMeetingPoints:
 		ls.mpRecv[rel] = sym.Bit()
 	case trace.PhaseFlagPassing:
-		p.flagDeliver(rel, from, sym)
+		p.flagDeliver(rel, ls.peer, sym)
 	case trace.PhaseSimulation:
 		p.simDeliver(rel, ls, sym)
 	default: // rewind
@@ -509,8 +521,7 @@ func (p *party) planRewinds(round int) {
 	}
 	p.rewindRound = round
 	minChunk := p.minChunk()
-	for _, v := range p.neighbors {
-		ls := p.links[v]
+	for _, ls := range p.links {
 		if ls.mp.Status == meeting.StatusMeetingPoints || ls.alreadyRewound {
 			continue
 		}

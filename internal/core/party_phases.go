@@ -70,7 +70,7 @@ func (p *party) simSend(rel int, ls *linkState) bitstring.Symbol {
 	if ls.simChunk == 0 {
 		return bitstring.Silence
 	}
-	idx := ls.spec.SlotAt(ls.edge, rel-1, p.id)
+	idx := ls.spec.SlotAt(ls.eord, rel-1, p.id)
 	if idx < 0 {
 		return bitstring.Silence
 	}
@@ -104,7 +104,7 @@ func (p *party) simDeliver(rel int, ls *linkState, sym bitstring.Symbol) {
 	if ls.simChunk == 0 {
 		return
 	}
-	idx := ls.spec.SlotAt(ls.edge, rel-1, ls.peer)
+	idx := ls.spec.SlotAt(ls.eord, rel-1, ls.peer)
 	if idx >= 0 {
 		ls.pending[idx] = sym
 	}
@@ -112,7 +112,9 @@ func (p *party) simDeliver(rel int, ls *linkState, sym bitstring.Symbol) {
 
 // beginSimulation sets up per-link chunk state once the ⊥ round has been
 // observed: the party simulates chunk |T_{u,v}|+1 with every neighbor
-// that did not opt out (Algorithm 1 line 17).
+// that did not opt out (Algorithm 1 line 17). The chunk's symbols are
+// gathered in a Silence-filled buffer reserved at the tail of the
+// transcript.
 func (p *party) beginSimulation() {
 	if !p.netCorrect {
 		return
@@ -123,23 +125,20 @@ func (p *party) beginSimulation() {
 		}
 		ls.simChunk = ls.T.Len() + 1
 		ls.spec = p.env.chunking.Spec(ls.simChunk)
-		ls.slots = ls.spec.LinkSlots[ls.edge]
-		ls.pending = make([]bitstring.Symbol, len(ls.slots))
-		for i := range ls.pending {
-			ls.pending[i] = bitstring.Silence
-		}
+		ls.slots = ls.spec.Slots(ls.eord)
+		ls.pending = ls.T.Reserve(len(ls.slots))
 	}
 }
 
-// finishSimulation commits the pending buffers as new transcript chunks.
+// finishSimulation commits the reserved buffers as new transcript chunks.
 func (p *party) finishSimulation() {
 	for _, ls := range p.links {
 		if ls.simChunk == 0 {
 			continue
 		}
-		ls.T.Append(ChunkRecord{Index: ls.simChunk, Syms: ls.pending})
+		ls.T.Commit()
 		ls.simChunk = 0
-		ls.spec = nil
+		ls.spec = protocol.ChunkSpec{}
 		ls.slots = nil
 		ls.pending = nil
 	}
@@ -212,8 +211,8 @@ func (v codedView) Observed(l channel.Link, seq int) bitstring.Symbol {
 	default:
 		return bitstring.Silence
 	}
-	ls, ok := v.p.links[peer]
-	if !ok {
+	ls := v.p.link(peer)
+	if ls == nil {
 		return bitstring.Silence
 	}
 	if loc.Chunk <= ls.T.Len() {

@@ -23,10 +23,11 @@ func testEnv(t *testing.T, g *graph.Graph) *env {
 		t.Fatal(err)
 	}
 	e := &env{
-		params: p,
-		g:      g,
-		crsK0:  uint64(p.CRSKey)*0x9e3779b97f4a7c15 + 0x853c49e6748fea9b,
-		crsK1:  uint64(p.CRSKey)*0xda942042e4dd58b5 + 0xd1342543de82ef95,
+		params:   p,
+		g:        g,
+		chunking: protocol.NewChunking(protocol.NewRandom(g, 8, 0.5, 1, nil), p.ChunkBits),
+		crsK0:    uint64(p.CRSKey)*0x9e3779b97f4a7c15 + 0x853c49e6748fea9b,
+		crsK1:    uint64(p.CRSKey)*0xda942042e4dd58b5 + 0xd1342543de82ef95,
 	}
 	maxChunkBits := chunkIndexBits + 2*5
 	e.hash = hashing.NewInnerProductHash(p.HashBits, 64*maxChunkBits)

@@ -94,8 +94,8 @@ func TestChunkingPropertyRandomSchedules(t *testing.T) {
 		}
 		located := 0
 		for _, spec := range ch.Specs {
-			for _, slots := range spec.LinkSlots {
-				located += len(slots)
+			for k := range g.Edges() {
+				located += len(spec.Slots(k))
 			}
 		}
 		return located == count

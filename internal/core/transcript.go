@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"mpic/internal/bitstring"
 )
 
@@ -22,35 +25,75 @@ type ChunkRecord struct {
 	Syms []bitstring.Symbol
 }
 
-// Transcript is one endpoint's record of a link: the paper's T_{u,v}. It
-// maintains the invariant chunks[i].Index == i+1 and caches the binary
-// encoding hashed by the consistency checks.
+// Transcript is one endpoint's record of a link: the paper's T_{u,v}.
+// Chunk i (0-based) always has Index i+1. All chunks' symbols live back
+// to back in one growable buffer, so a rewind followed by re-simulation
+// reuses the space instead of allocating; the binary encoding hashed by
+// the consistency checks is cached next to it.
 type Transcript struct {
-	chunks []ChunkRecord
-	bits   *bitstring.BitVec
-	offs   []int // offs[i] = encoded bit length of the first i chunks
+	syms   []bitstring.Symbol
+	starts []int // starts[i] = offset in syms of chunk i; len = Len()+1
+	// reserved is the length of the uncommitted buffer Reserve handed out
+	// past len(syms), or -1 if there is none.
+	reserved int
+	bits     *bitstring.BitVec
+	offs     []int // offs[i] = encoded bit length of the first i chunks
 }
 
 // NewTranscript returns an empty transcript.
 func NewTranscript() *Transcript {
-	return &Transcript{bits: bitstring.NewBitVec(0), offs: []int{0}}
+	return &Transcript{bits: bitstring.NewBitVec(0), starts: []int{0}, offs: []int{0}, reserved: -1}
 }
 
 // Len returns |T| in chunks.
-func (t *Transcript) Len() int { return len(t.chunks) }
+func (t *Transcript) Len() int { return len(t.starts) - 1 }
 
-// Chunk returns the i-th (0-based) chunk record.
-func (t *Transcript) Chunk(i int) *ChunkRecord { return &t.chunks[i] }
+// Chunk returns the i-th (0-based) chunk record. Its Syms alias the
+// transcript's storage and are valid until the chunk is truncated away.
+func (t *Transcript) Chunk(i int) ChunkRecord {
+	lo, hi := t.starts[i], t.starts[i+1]
+	return ChunkRecord{Index: i + 1, Syms: t.syms[lo:hi:hi]}
+}
 
-// Append adds a chunk record. The record's index must continue the
-// sequence; the engine always simulates chunk |T|+1.
-func (t *Transcript) Append(rec ChunkRecord) {
-	t.chunks = append(t.chunks, rec)
-	t.bits.AppendUint(uint64(rec.Index), chunkIndexBits)
-	for _, s := range rec.Syms {
+// Reserve returns a Silence-filled buffer of n symbols for chunk Len()+1,
+// carved from the transcript's own storage; Commit appends it without
+// copying. The buffer stays valid until Commit, and a later Reserve,
+// Append or shortening TruncateTo discards it.
+func (t *Transcript) Reserve(n int) []bitstring.Symbol {
+	end := len(t.syms)
+	t.syms = slices.Grow(t.syms, n)
+	buf := t.syms[end : end+n : end+n]
+	for i := range buf {
+		buf[i] = bitstring.Silence
+	}
+	t.reserved = n
+	return buf
+}
+
+// Commit appends the buffer of the last Reserve as chunk Len()+1.
+func (t *Transcript) Commit() {
+	if t.reserved < 0 {
+		panic("core: Transcript.Commit without a reservation")
+	}
+	end := len(t.syms)
+	t.syms = t.syms[:end+t.reserved]
+	t.reserved = -1
+	t.starts = append(t.starts, len(t.syms))
+	t.bits.AppendUint(uint64(t.Len()), chunkIndexBits)
+	for _, s := range t.syms[end:] {
 		t.bits.AppendSymbol(s)
 	}
 	t.offs = append(t.offs, t.bits.Len())
+}
+
+// Append adds a chunk record by copying its symbols. The record's index
+// must continue the sequence; the engine always simulates chunk |T|+1.
+func (t *Transcript) Append(rec ChunkRecord) {
+	if rec.Index != t.Len()+1 {
+		panic(fmt.Sprintf("core: appending chunk %d to a transcript of %d chunks", rec.Index, t.Len()))
+	}
+	copy(t.Reserve(len(rec.Syms)), rec.Syms)
+	t.Commit()
 }
 
 // TruncateTo rolls the transcript back to n chunks. Out-of-range
@@ -64,10 +107,12 @@ func (t *Transcript) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
 	}
-	if n >= len(t.chunks) {
+	if n >= t.Len() {
 		return
 	}
-	t.chunks = t.chunks[:n]
+	t.starts = t.starts[:n+1]
+	t.syms = t.syms[:t.starts[n]]
+	t.reserved = -1
 	t.offs = t.offs[:n+1]
 	t.bits.Truncate(t.offs[n])
 }
@@ -98,7 +143,8 @@ func CommonPrefixChunks(a, b *Transcript) int {
 		n = b.Len()
 	}
 	for i := 0; i < n; i++ {
-		if !chunkEqual(&a.chunks[i], &b.chunks[i]) {
+		ra, rb := a.Chunk(i), b.Chunk(i)
+		if !chunkEqual(&ra, &rb) {
 			return i
 		}
 	}
@@ -106,15 +152,7 @@ func CommonPrefixChunks(a, b *Transcript) int {
 }
 
 func chunkEqual(a, b *ChunkRecord) bool {
-	if a.Index != b.Index || len(a.Syms) != len(b.Syms) {
-		return false
-	}
-	for i := range a.Syms {
-		if a.Syms[i] != b.Syms[i] {
-			return false
-		}
-	}
-	return true
+	return a.Index == b.Index && slices.Equal(a.Syms, b.Syms)
 }
 
 // Equal reports whether two transcripts agree entirely.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,4 +184,111 @@ func TestTranscriptLengthsEncodeDifferently(t *testing.T) {
 	if !diff {
 		t.Fatal("longer transcript encodes as zero-padded shorter one: hashes would collide")
 	}
+}
+
+// TestTranscriptReserveModel drives Reserve/Commit, Append, abandoned
+// reservations and TruncateTo at random against a copy-per-chunk
+// reference model. Rewinds hand the freed tail of the symbol buffer to
+// later reservations, so after every step each chunk's Syms, the prefix
+// offsets and the cached encoding must still match the model, and chunk
+// records read before a rewind must not be overwritten by the chunks
+// simulated after it.
+func TestTranscriptReserveModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	randSyms := func() []bitstring.Symbol {
+		syms := make([]bitstring.Symbol, rng.Intn(6))
+		for i := range syms {
+			syms[i] = bitstring.Symbol(rng.Intn(3))
+		}
+		return syms
+	}
+	for trial := 0; trial < 40; trial++ {
+		tr := NewTranscript()
+		var model [][]bitstring.Symbol
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3 && len(model) > 0:
+				n := len(model) - 1 - rng.Intn(min(3, len(model)))
+				tr.TruncateTo(n)
+				model = model[:n]
+			case op < 8:
+				syms := randSyms()
+				if rng.Intn(4) == 0 {
+					// Abandoned: the next Reserve discards it.
+					copy(tr.Reserve(len(syms)+1), append(randSyms(), syms...))
+				}
+				buf := tr.Reserve(len(syms))
+				for i, s := range buf {
+					if s != bitstring.Silence {
+						t.Fatalf("trial %d step %d: reserved slot %d holds %v, want Silence", trial, step, i, s)
+					}
+				}
+				copy(buf, syms)
+				tr.Commit()
+				model = append(model, syms)
+			default:
+				syms := randSyms()
+				tr.Append(ChunkRecord{Index: len(model) + 1, Syms: syms})
+				model = append(model, syms)
+			}
+
+			if tr.Len() != len(model) {
+				t.Fatalf("trial %d step %d: Len = %d, want %d", trial, step, tr.Len(), len(model))
+			}
+			want := bitstring.NewBitVec(0)
+			for i, syms := range model {
+				rec := tr.Chunk(i)
+				if rec.Index != i+1 || !slices.Equal(rec.Syms, syms) {
+					t.Fatalf("trial %d step %d: chunk %d = %d %v, want %d %v", trial, step, i, rec.Index, rec.Syms, i+1, syms)
+				}
+				want.AppendUint(uint64(i+1), chunkIndexBits)
+				for _, s := range syms {
+					want.AppendSymbol(s)
+				}
+				if tr.PrefixBits(i+1) != want.Len() {
+					t.Fatalf("trial %d step %d: PrefixBits(%d) = %d, want %d", trial, step, i+1, tr.PrefixBits(i+1), want.Len())
+				}
+			}
+			if !tr.Bits().Equal(want) {
+				t.Fatalf("trial %d step %d: cached encoding differs from the model's", trial, step)
+			}
+		}
+	}
+}
+
+// TestTranscriptRewindReusesStorage: once a transcript has grown, rewind
+// and re-simulation cycles allocate nothing — the reserved buffer is the
+// tail the rewind freed.
+func TestTranscriptRewindReusesStorage(t *testing.T) {
+	tr := NewTranscript()
+	for i := 1; i <= 8; i++ {
+		copy(tr.Reserve(5), []bitstring.Symbol{bitstring.Sym1, bitstring.Sym0})
+		tr.Commit()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.TruncateTo(tr.Len() - 2)
+		for i := 0; i < 2; i++ {
+			buf := tr.Reserve(5)
+			buf[4] = bitstring.Sym1
+			tr.Commit()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rewind + re-simulation allocates %.1f times, want 0", allocs)
+	}
+}
+
+func TestTranscriptCommitWithoutReservePanics(t *testing.T) {
+	tr := NewTranscript()
+	tr.Reserve(2)
+	tr.TruncateTo(-1) // an empty transcript: nothing to truncate, keeps the reservation
+	tr.Commit()
+	copy(tr.Reserve(1), []bitstring.Symbol{bitstring.Sym1})
+	tr.TruncateTo(0) // a real rollback discards the reservation
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Commit after a rollback discarded the reservation did not panic")
+		}
+	}()
+	tr.Commit()
 }

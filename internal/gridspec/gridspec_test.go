@@ -75,6 +75,36 @@ func TestScenarioBuildErrors(t *testing.T) {
 	}
 }
 
+// TestGridRejectsNonFiniteTiming: a posted grid whose fault schedule or
+// delay parameter is NaN or infinite must fail to build, not run every
+// cell to its iteration budget with NaN delays.
+func TestGridRejectsNonFiniteTiming(t *testing.T) {
+	build := func(body string) error {
+		t.Helper()
+		var g Grid
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&g); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		_, err := g.Build()
+		return err
+	}
+	const base = `{"workload":"random","n":"4","trials":1,`
+	if err := build(base + `"netfaults":"spike=1,spike-delay=2","delay":"jitter:0.5"}`); err != nil {
+		t.Fatalf("finite timing rejected: %v", err)
+	}
+	for _, tail := range []string{
+		`"netfaults":"spike-delay=NaN"}`,
+		`"netfaults":"spike=1,straggler-delay=Inf"}`,
+		`"delay":"jitter:NaN"}`,
+	} {
+		if err := build(base + tail); err == nil {
+			t.Errorf("%s: built", base+tail)
+		}
+	}
+}
+
 // TestGridSpecFingerprint pins the checkpoint fingerprint byte for byte
 // against the historical mpicbench format: an old sweep checkpoint must
 // still match the spec this package computes for the same flags.

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mpic/internal/channel"
@@ -55,19 +56,21 @@ type FaultSchedule struct {
 	CrashLen int
 }
 
-// Validate rejects malformed schedules before anything runs.
+// Validate rejects malformed schedules before anything runs. The
+// comparisons are written so NaN fails them: a NaN rate or delay would
+// otherwise pass every range check and poison the delay histograms.
 func (f *FaultSchedule) Validate() error {
-	if f.OutageRate < 0 || f.OutageRate > 1 {
+	if !(f.OutageRate >= 0 && f.OutageRate <= 1) {
 		return fmt.Errorf("network: OutageRate %g outside [0,1]", f.OutageRate)
 	}
-	if f.SpikeRate < 0 || f.SpikeRate > 1 {
+	if !(f.SpikeRate >= 0 && f.SpikeRate <= 1) {
 		return fmt.Errorf("network: SpikeRate %g outside [0,1]", f.SpikeRate)
 	}
 	if f.OutageLen < 0 || f.CrashLen < 0 {
 		return fmt.Errorf("network: negative fault window (OutageLen %d, CrashLen %d)", f.OutageLen, f.CrashLen)
 	}
-	if f.SpikeDelay < 0 || f.StragglerDelay < 0 {
-		return fmt.Errorf("network: negative extra delay (SpikeDelay %g, StragglerDelay %g)", f.SpikeDelay, f.StragglerDelay)
+	if !(f.SpikeDelay >= 0 && f.StragglerDelay >= 0) || math.IsInf(f.SpikeDelay, 1) || math.IsInf(f.StragglerDelay, 1) {
+		return fmt.Errorf("network: extra delay not a finite non-negative number (SpikeDelay %g, StragglerDelay %g)", f.SpikeDelay, f.StragglerDelay)
 	}
 	if f.Stragglers < 0 || f.Crashes < 0 {
 		return fmt.Errorf("network: negative party counts (Stragglers %d, Crashes %d)", f.Stragglers, f.Crashes)

@@ -36,12 +36,14 @@ import (
 type Party interface {
 	// ID returns the node this party occupies.
 	ID() graph.Node
-	// Send returns the symbol to transmit to neighbor `to` this round;
-	// Silence means the party stays quiet on that link.
-	Send(round int, to graph.Node) bitstring.Symbol
-	// Deliver hands the party what it observed from neighbor `from` this
-	// round (Silence when no symbol arrived).
-	Deliver(round int, from graph.Node, sym bitstring.Symbol)
+	// Send returns the symbol to transmit this round to the neighbor at
+	// position ord of the graph's Neighbors(ID()); Silence means the
+	// party stays quiet on that link.
+	Send(round int, ord int) bitstring.Symbol
+	// Deliver hands the party what it observed this round from the
+	// neighbor at position ord of Neighbors(ID()) (Silence when no symbol
+	// arrived).
+	Deliver(round int, ord int, sym bitstring.Symbol)
 }
 
 // RoundEnder is an optional Party extension: EndRound is invoked after all
@@ -58,7 +60,10 @@ type Engine struct {
 	adv     adversary.Adversary
 	metrics *trace.Metrics
 	links   []channel.Link // all directed links, deterministic order
-	phaseFn func(round int) trace.Phase
+	// sendOrd[i] and recvOrd[i] are links[i]'s position in its sender's
+	// and its receiver's neighbor list: the ordinals Send and Deliver get.
+	sendOrd, recvOrd []int
+	phaseFn          func(round int) trace.Phase
 
 	sendBuf []bitstring.Symbol
 	// timing, when non-nil, switches the engine onto the virtual-time
@@ -104,12 +109,28 @@ func NewEngine(g *graph.Graph, parties []Party, adv adversary.Adversary, metrics
 		adv:     adv,
 		metrics: metrics,
 		links:   links,
+		sendOrd: make([]int, len(links)),
+		recvOrd: make([]int, len(links)),
 		sendBuf: make([]bitstring.Symbol, len(links)),
+	}
+	for u := 0; u < g.N(); u++ {
+		for ord, v := range g.Neighbors(graph.Node(u)) {
+			e.sendOrd[e.linkIndex(graph.Node(u), v)] = ord
+			e.recvOrd[e.linkIndex(v, graph.Node(u))] = ord
+		}
 	}
 	if ca, ok := adv.(adversary.ContextAware); ok {
 		ca.SetContext(e)
 	}
 	return e, nil
+}
+
+// linkIndex returns the position of directed link from→to in e.links.
+func (e *Engine) linkIndex(from, to graph.Node) int {
+	return sort.Search(len(e.links), func(i int) bool {
+		l := e.links[i]
+		return l.From > from || (l.From == from && l.To >= to)
+	})
 }
 
 // CC implements adversary.Context.
@@ -143,7 +164,7 @@ func (e *Engine) RunRounds(from, to int) {
 // synchronous and the virtual-time paths use it.
 func (e *Engine) collectSends(round int) {
 	for i, l := range e.links {
-		e.sendBuf[i] = e.parties[l.From].Send(round, l.To)
+		e.sendBuf[i] = e.parties[l.From].Send(round, e.sendOrd[i])
 	}
 }
 
@@ -169,7 +190,7 @@ func (e *Engine) step(round int) {
 		if k := channel.Classify(sent, recv); k != channel.KindNone {
 			e.metrics.AddCorruption(k)
 		}
-		e.parties[l.To].Deliver(round, l.From, recv)
+		e.parties[l.To].Deliver(round, e.recvOrd[i], recv)
 	}
 	for _, p := range e.parties {
 		if re, ok := p.(RoundEnder); ok {

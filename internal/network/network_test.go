@@ -11,9 +11,11 @@ import (
 )
 
 // echoParty emits a fixed per-round pattern and records everything it
-// observes, for engine-behavior tests.
+// observes, for engine-behavior tests. It translates the engine's
+// neighbor ordinals back to nodes so the scripts can name peers.
 type echoParty struct {
 	id       graph.Node
+	nbrs     []graph.Node
 	sendFn   func(round int, to graph.Node) bitstring.Symbol
 	received []recorded
 	ends     []int
@@ -27,24 +29,25 @@ type recorded struct {
 
 func (p *echoParty) ID() graph.Node { return p.id }
 
-func (p *echoParty) Send(round int, to graph.Node) bitstring.Symbol {
+func (p *echoParty) Send(round int, ord int) bitstring.Symbol {
 	if p.sendFn == nil {
 		return bitstring.Silence
 	}
-	return p.sendFn(round, to)
+	return p.sendFn(round, p.nbrs[ord])
 }
 
-func (p *echoParty) Deliver(round int, from graph.Node, sym bitstring.Symbol) {
-	p.received = append(p.received, recorded{round: round, from: from, sym: sym})
+func (p *echoParty) Deliver(round int, ord int, sym bitstring.Symbol) {
+	p.received = append(p.received, recorded{round: round, from: p.nbrs[ord], sym: sym})
 }
 
 func (p *echoParty) EndRound(round int) { p.ends = append(p.ends, round) }
 
-func mkParties(n int, fns map[int]func(int, graph.Node) bitstring.Symbol) ([]Party, []*echoParty) {
+func mkParties(g *graph.Graph, fns map[int]func(int, graph.Node) bitstring.Symbol) ([]Party, []*echoParty) {
+	n := g.N()
 	eps := make([]*echoParty, n)
 	ps := make([]Party, n)
 	for i := 0; i < n; i++ {
-		eps[i] = &echoParty{id: graph.Node(i), sendFn: fns[i]}
+		eps[i] = &echoParty{id: graph.Node(i), nbrs: g.Neighbors(graph.Node(i)), sendFn: fns[i]}
 		ps[i] = eps[i]
 	}
 	return ps, eps
@@ -52,7 +55,7 @@ func mkParties(n int, fns map[int]func(int, graph.Node) bitstring.Symbol) ([]Par
 
 func TestEngineDeliversSymbols(t *testing.T) {
 	g := graph.Line(3)
-	ps, eps := mkParties(3, map[int]func(int, graph.Node) bitstring.Symbol{
+	ps, eps := mkParties(g, map[int]func(int, graph.Node) bitstring.Symbol{
 		0: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym1 },
 	})
 	eng, err := NewEngine(g, ps, nil, nil)
@@ -82,7 +85,7 @@ func TestEngineDeliversSymbols(t *testing.T) {
 
 func TestEngineEndRoundHook(t *testing.T) {
 	g := graph.Line(2)
-	ps, eps := mkParties(2, nil)
+	ps, eps := mkParties(g, nil)
 	eng, _ := NewEngine(g, ps, nil, nil)
 	eng.RunRounds(0, 3)
 	want := []int{0, 1, 2}
@@ -100,7 +103,7 @@ func TestEngineEndRoundHook(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	g := graph.Line(3)
-	ps, _ := mkParties(2, nil)
+	ps, _ := mkParties(graph.Line(2), nil)
 	if _, err := NewEngine(g, ps, nil, nil); err == nil {
 		t.Error("party/node count mismatch accepted")
 	}
@@ -112,7 +115,7 @@ func TestEngineValidation(t *testing.T) {
 
 func TestEngineAdversaryConsultedOnSilentSlots(t *testing.T) {
 	g := graph.Line(2)
-	ps, eps := mkParties(2, nil) // nobody transmits
+	ps, eps := mkParties(g, nil) // nobody transmits
 	// Insert a bit on every slot of link 0→1.
 	pat := adversary.NewPattern()
 	for r := 0; r < 3; r++ {
@@ -140,7 +143,7 @@ func TestEngineAdversaryConsultedOnSilentSlots(t *testing.T) {
 
 func TestEngineCorruptionClassification(t *testing.T) {
 	g := graph.Line(2)
-	ps, _ := mkParties(2, map[int]func(int, graph.Node) bitstring.Symbol{
+	ps, _ := mkParties(g, map[int]func(int, graph.Node) bitstring.Symbol{
 		0: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym0 },
 	})
 	pat := adversary.NewPattern()
@@ -159,7 +162,7 @@ func TestEngineCorruptionClassification(t *testing.T) {
 
 func TestEnginePhaseAttribution(t *testing.T) {
 	g := graph.Line(2)
-	ps, _ := mkParties(2, map[int]func(int, graph.Node) bitstring.Symbol{
+	ps, _ := mkParties(g, map[int]func(int, graph.Node) bitstring.Symbol{
 		0: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym1 },
 		1: func(r int, to graph.Node) bitstring.Symbol { return bitstring.Sym1 },
 	})
@@ -180,7 +183,7 @@ func TestEnginePhaseAttribution(t *testing.T) {
 
 func TestLinksDeterministicOrder(t *testing.T) {
 	g := graph.Ring(4)
-	ps, _ := mkParties(4, nil)
+	ps, _ := mkParties(g, nil)
 	eng, _ := NewEngine(g, ps, nil, nil)
 	links := eng.Links()
 	if len(links) != 8 {

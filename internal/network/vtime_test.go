@@ -77,11 +77,11 @@ func TestTimedUnitMatchesLockstep(t *testing.T) {
 	pat.Set(3, channel.Link{From: 0, To: 1}, 1)
 	pat.Set(7, channel.Link{From: 2, To: 4}, 2)
 
-	psA, epsA := mkParties(5, cliqueFns(5))
+	psA, epsA := mkParties(g, cliqueFns(5))
 	engA, _ := NewEngine(g, psA, pat, nil)
 	engA.RunRounds(0, rounds)
 
-	psB, epsB := mkParties(5, cliqueFns(5))
+	psB, epsB := mkParties(g, cliqueFns(5))
 	engB, _ := NewEngine(g, psB, pat, nil)
 	engB.forceTimed = true
 	engB.SetTiming(Unit{}, nil)
@@ -139,7 +139,7 @@ func TestDeadlineInsdelMapping(t *testing.T) {
 	g := graph.Line(2)
 	// Party 0 sends Sym1 in rounds 0 and 1, then goes quiet; party 1
 	// never transmits.
-	ps, eps := mkParties(2, map[int]func(int, graph.Node) bitstring.Symbol{
+	ps, eps := mkParties(g, map[int]func(int, graph.Node) bitstring.Symbol{
 		0: func(r int, to graph.Node) bitstring.Symbol {
 			if r <= 1 {
 				return bitstring.Sym1
@@ -184,7 +184,7 @@ func TestDeadlineInsdelMapping(t *testing.T) {
 
 	// Same script, but party 0 only sends in round 0: the straggler lands
 	// in round 1's silent slot — an out-of-band insertion.
-	ps2, eps2 := mkParties(2, map[int]func(int, graph.Node) bitstring.Symbol{
+	ps2, eps2 := mkParties(g, map[int]func(int, graph.Node) bitstring.Symbol{
 		0: func(r int, to graph.Node) bitstring.Symbol {
 			if r == 0 {
 				return bitstring.Sym1
@@ -306,7 +306,7 @@ func TestCrashWindowSilence(t *testing.T) {
 		t.Fatal("no crash window wired")
 	}
 
-	ps, eps := mkParties(4, cliqueFns(4))
+	ps, eps := mkParties(g, cliqueFns(4))
 	eng, _ := NewEngine(g, ps, nil, nil)
 	eng.SetTiming(Unit{}, wf)
 	eng.RunRounds(0, rounds)
@@ -355,7 +355,7 @@ func TestTimedDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, eps := mkParties(5, cliqueFns(5))
+		ps, eps := mkParties(g, cliqueFns(5))
 		eng, _ := NewEngine(g, ps, nil, nil)
 		eng.SetTiming(FixedJitter{Base: 0.4, Jitter: 0.8, Seed: 77}, wf)
 		eng.RunRounds(0, rounds)

@@ -208,7 +208,7 @@ func TestChunkingLocate(t *testing.T) {
 	g := graph.Line(3)
 	p := NewRandom(g, 30, 0.7, 2, nil)
 	ch := NewChunking(p, 10)
-	// Walk the schedule and verify Locate round-trips through LinkSlots.
+	// Walk the schedule and verify Locate round-trips through Slots.
 	seq := map[channel.Link]int{}
 	for r := 0; r < p.Schedule().Rounds(); r++ {
 		for _, tx := range p.Schedule().At(r) {
@@ -218,8 +218,7 @@ func TestChunkingLocate(t *testing.T) {
 				t.Fatalf("Locate failed for %v seq %d", l, seq[l])
 			}
 			spec := ch.Spec(loc.Chunk)
-			e := graph.Edge{U: tx.From, V: tx.To}.Canonical()
-			slot := spec.LinkSlots[e][loc.Pos]
+			slot := spec.Slots(ch.EdgeOrd(tx.From, tx.To))[loc.Pos]
 			if slot.Tx != tx || slot.Seq != seq[l] {
 				t.Fatalf("Locate mismatch for %v seq %d: got %+v", l, seq[l], slot)
 			}
@@ -231,6 +230,9 @@ func TestChunkingLocate(t *testing.T) {
 	}
 	if _, ok := ch.Locate(channel.Link{From: 0, To: 1}, 9999); ok {
 		t.Error("Locate accepted out-of-range seq")
+	}
+	if _, ok := ch.Locate(channel.Link{From: 0, To: 2}, 0); ok {
+		t.Error("Locate accepted a link the schedule never uses")
 	}
 }
 
@@ -249,12 +251,19 @@ func TestChunkingDummySpec(t *testing.T) {
 	if d.Index != n+5 {
 		t.Errorf("dummy Index = %d, want %d", d.Index, n+5)
 	}
+	if other := ch.Spec(n + 1); other.Index != n+1 || d.Index != n+5 {
+		t.Errorf("dummy specs share an Index: %d and %d", other.Index, d.Index)
+	}
 	if d.Bits != 2*g.M() {
 		t.Errorf("dummy Bits = %d, want %d", d.Bits, 2*g.M())
 	}
-	for _, e := range g.Edges() {
-		if len(d.LinkSlots[e]) != 2 {
-			t.Fatal("dummy chunk must have one slot per direction per link")
+	for k, e := range g.Edges() {
+		want := []Slot{
+			{RelRound: 0, Tx: Transmission{From: e.U, To: e.V}},
+			{RelRound: 0, Tx: Transmission{From: e.V, To: e.U}},
+		}
+		if got := d.Slots(k); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("dummy slots on %v = %+v, want one per direction %+v", e, got, want)
 		}
 	}
 }
@@ -263,17 +272,42 @@ func TestSlotAt(t *testing.T) {
 	g := graph.Line(3)
 	p := NewRandom(g, 30, 0.7, 2, nil)
 	ch := NewChunking(p, 10)
-	for _, spec := range ch.Specs {
-		for e, slots := range spec.LinkSlots {
-			for i, s := range slots {
-				if got := spec.SlotAt(e, s.RelRound, s.Tx.From); got != i {
-					t.Fatalf("SlotAt(%v,%d,%d) = %d, want %d", e, s.RelRound, s.Tx.From, got, i)
+	specs := append(ch.Specs[:len(ch.Specs):len(ch.Specs)], ch.Spec(ch.NumChunks()+1))
+	for _, spec := range specs {
+		for k := range g.Edges() {
+			for i, s := range spec.Slots(k) {
+				if got := spec.SlotAt(k, s.RelRound, s.Tx.From); got != i {
+					t.Fatalf("chunk %d: SlotAt(%d,%d,%d) = %d, want %d", spec.Index, k, s.RelRound, s.Tx.From, got, i)
+				}
+				if got := spec.SlotAt(k, s.RelRound, s.Tx.To); got >= 0 && spec.Slots(k)[got].Tx.From != s.Tx.To {
+					t.Fatalf("chunk %d: SlotAt for the reverse direction returned slot %d from %d", spec.Index, got, spec.Slots(k)[got].Tx.From)
 				}
 			}
+			if spec.SlotAt(k, 9999, 0) != -1 || spec.SlotAt(k, -1, 0) != -1 {
+				t.Fatal("SlotAt must return -1 for unscheduled rounds")
+			}
 		}
-		if spec.SlotAt(graph.Edge{U: 0, V: 1}, 9999, 0) != -1 {
-			t.Fatal("SlotAt must return -1 for unscheduled rounds")
-		}
+	}
+}
+
+// TestChunkingAllocsFlat pins the flat layout: building the chunk index
+// allocates a fixed number of objects, however many chunks the schedule
+// splits into. A per-chunk map layout fails this by thousands.
+func TestChunkingAllocsFlat(t *testing.T) {
+	g := graph.Clique(24)
+	allocs := func(rounds int) (float64, int) {
+		p := NewRandom(g, rounds, 0.5, 7, nil)
+		var ch *Chunking
+		n := testing.AllocsPerRun(3, func() { ch = NewChunking(p, 5*g.M()) })
+		return n, ch.NumChunks()
+	}
+	short, shortChunks := allocs(120)
+	long, longChunks := allocs(720)
+	if longChunks < 4*shortChunks {
+		t.Fatalf("workloads chunk into %d and %d chunks; want the long one ≥4× the short", shortChunks, longChunks)
+	}
+	if long > short+4 {
+		t.Fatalf("NewChunking allocates %.0f objects for %d chunks but %.0f for %d: the layout grows per chunk", long, longChunks, short, shortChunks)
 	}
 }
 
